@@ -76,8 +76,8 @@ Commands
     of the same spec (the CI ``net-smoke`` gate).
 
 Every command honours ``REPRO_PERF`` (``1``/``on`` for the default
-fast path, or ``pool=N,memo=MiB,kind=process|thread|serial``); unset
-or ``0`` runs the original serial code everywhere.  ``REPRO_OBS=1``
+codec memo, or ``memo=MiB`` to size it); unset or ``0`` runs the
+original serial code everywhere.  ``REPRO_OBS=1``
 activates a flight recorder for any command (``capacity=N,
 sample=io:8`` tunes it).  ``REPRO_WORKERS=N`` is the default for every
 ``--workers`` flag (``bench``, ``cluster``, ``perf``): N forked engine

@@ -132,9 +132,9 @@ class ClusterSection:
 
 @dataclass
 class PerfConfig:
-    """Wall-clock fast path (``repro.perf``): pool, memo, zero-copy.
+    """Wall-clock fast path (``repro.perf``): the codec memo.
 
-    All off by default: the fast path is opt-in, and with ``enabled``
+    Off by default: the fast path is opt-in, and with ``enabled``
     False the hot paths run exactly the serial seed code.  Enabling it
     changes no simulated timing and no output byte (golden-tested) —
     only how fast the process gets there.
@@ -142,17 +142,8 @@ class PerfConfig:
 
     #: Master switch; False leaves the serial path untouched.
     enabled: bool = False
-    #: Codec pool workers; 0 = memo-only, -1 = auto-size from CPU count.
-    pool_workers: int = -1
-    #: ``process`` (true parallelism), ``thread`` (no-fork fallback),
-    #: or ``serial`` (inline compute, for A/B runs).
-    pool_kind: str = "process"
     #: Codec memo capacity; 0 disables memoization.
     memo_capacity_bytes: int = 64 * MiB
-    #: memoryview/bytearray plumbing through the page pipeline.
-    zero_copy: bool = True
-    #: Page-buffer arena free-list depth.
-    arena_slots: int = 8
 
 
 @dataclass
@@ -251,16 +242,8 @@ class ReproConfig:
             raise ValueError("parallel.workers must be at least 1")
         if self.parallel.lookahead_us <= 0:
             raise ValueError("parallel.lookahead_us must be positive")
-        if self.perf.pool_kind not in ("process", "thread", "serial"):
-            raise ValueError(
-                "perf.pool_kind must be 'process', 'thread', or 'serial'"
-            )
-        if self.perf.pool_workers < -1:
-            raise ValueError("perf.pool_workers must be >= -1 (-1 = auto)")
         if self.perf.memo_capacity_bytes < 0:
             raise ValueError("perf.memo_capacity_bytes cannot be negative")
-        if self.perf.arena_slots < 1:
-            raise ValueError("perf.arena_slots must be at least 1")
         resolve_spec(self.device.data_spec)
         resolve_spec(self.device.perf_spec)
         self.consolidation.validate()

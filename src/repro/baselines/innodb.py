@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import ResourcePool
-from repro.common.errors import ReproError
+from repro.common.errors import KeyNotFoundError, ReproError
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, ceil_div
 from repro.compression.base import get_codec
 from repro.compression.cost import codec_cost
@@ -262,14 +262,14 @@ class InnoDBEngine:
     def update(self, now_us: float, table: str, key: int, value: bytes) -> OpResult:
         ctx = self._start(now_us)
         if not self._tree(table).update(ctx, key, value, self._next_lsn):
-            raise ReproError(f"update of missing key {key}")
+            raise KeyNotFoundError(f"update of missing key {key}")
         done, redo = self._finish_write(ctx)
         return OpResult(done, ctx.io_reads, redo)
 
     def delete(self, now_us: float, table: str, key: int) -> OpResult:
         ctx = self._start(now_us)
         if not self._tree(table).delete(ctx, key, self._next_lsn):
-            raise ReproError(f"delete of missing key {key}")
+            raise KeyNotFoundError(f"delete of missing key {key}")
         done, redo = self._finish_write(ctx)
         return OpResult(done, ctx.io_reads, redo)
 

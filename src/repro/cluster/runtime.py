@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.common.errors import ReproError, SchedulingError
+from repro.common.errors import KeyNotFoundError, ReproError, SchedulingError
 from repro.common.units import DB_PAGE_SIZE
 from repro.cluster.chunk import Chunk, StorageServer
 from repro.cluster.cluster import Cluster
@@ -366,7 +366,7 @@ class ClusterRuntime:
         chunk = chunks.get(index)
         if chunk is None:
             if not create:
-                raise ReproError(f"key {key} not found in {table!r}")
+                raise KeyNotFoundError(f"key {key} not found in {table!r}")
             if self.meta_group is not None:
                 # Placement must commit through the metadata log first
                 # (the write path proposes before routing here).
@@ -464,7 +464,7 @@ class ClusterRuntime:
     def update_proc(self, table: str, key: int, value: bytes):
         chunk = self._chunk_for(table, key, create=False)
         if key not in chunk.rows:
-            raise ReproError(f"update of missing key {key}")
+            raise KeyNotFoundError(f"update of missing key {key}")
         result = yield from self._write_proc(table, key, value, create=False)
         return result
 
@@ -477,7 +477,7 @@ class ClusterRuntime:
             self._blocked_writes.inc()
             yield chunk.gate
         if key not in chunk.rows:
-            raise ReproError(f"delete of missing key {key}")
+            raise KeyNotFoundError(f"delete of missing key {key}")
         page_no = chunk.rows.pop(key)
         shard = self.owner(chunk)
         self._drop_page(shard.store, page_no)

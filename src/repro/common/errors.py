@@ -58,6 +58,14 @@ class CorruptionError(ReproError):
     """A codec or index detected malformed input."""
 
 
+class KeyNotFoundError(ReproError):
+    """An update or delete named a key the table does not hold."""
+
+
+class DuplicateKeyError(ReproError):
+    """An insert named a key the table already holds."""
+
+
 class WALError(ReproError):
     """Write-ahead log append/replay failure."""
 

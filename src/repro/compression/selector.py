@@ -106,9 +106,8 @@ class AlgorithmSelector:
         self._evaluations_ctr.inc()
         runtime = perf_active()
         if runtime is not None:
-            # The two compressions are independent: the fast path runs
-            # them on separate cores (or replays memoized results) and
-            # hands back byte-identical payloads in codec order.
+            # The fast path hashes the page once and replays memoized
+            # results for either codec it has already seen.
             pair = runtime.compress_pair(page)
             lz4_payload, lz4_crc = pair["lz4"]
             zstd_payload, zstd_crc = pair["zstd"]

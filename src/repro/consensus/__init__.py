@@ -1,9 +1,9 @@
 """Raft consensus running as engine processes.
 
-The static replication rule in :mod:`repro.storage.raft` commits a write
-at the majority but has no story for *who* the leader is when the
-current one dies or is partitioned away.  This package supplies that
-story on the deterministic event kernel:
+The static replication rule in :class:`repro.storage.store.PolarStore`
+commits a write at the majority but has no story for *who* the leader
+is when the current one dies or is partitioned away.  This package
+supplies that story on the deterministic event kernel:
 
 * :mod:`repro.consensus.raft` — the node state machine: randomized
   (seeded) election timers, RequestVote/AppendEntries, term-based

@@ -275,19 +275,6 @@ class BlockDevice:
         self._finish_read(start_us, done, nbytes)
         return IOCompletion(start_us, done, data)
 
-    def peek(self, lba: int, nbytes: int) -> Optional[bytes]:
-        """Inspect stored content without simulating an I/O.
-
-        No queueing, no latency, no stats, no fault/chaos sampling — this
-        exists solely for the wall-clock prefetcher, which warms the codec
-        memo with content a simulated read is about to fetch anyway.
-        Returns ``None`` where a real read would error (unwritten LBA).
-        """
-        try:
-            return self._load(lba, nbytes)
-        except ReproError:
-            return None
-
     def gc_proc(self, period_us: float = 500.0):
         """Daemon process: drain accumulated FTL relocation work
         (:attr:`_pending_gc_us`) through the device queue, stealing idle
@@ -437,9 +424,7 @@ class PolarCSD(BlockDevice):
         # padding), so the compressed length is memoized by content; the
         # memoryview keeps per-block slicing copy-free.
         view = (
-            memoryview(data)
-            if runtime is not None and runtime.zero_copy and n_blocks > 1
-            else data
+            memoryview(data) if runtime is not None and n_blocks > 1 else data
         )
         for i in range(n_blocks):
             block = view[i * LBA_SIZE : (i + 1) * LBA_SIZE]

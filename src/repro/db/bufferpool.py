@@ -69,6 +69,13 @@ class BufferPool:
         if page is not None:
             self._touched[page_no] = page
             return page
+        page = self._touched.get(page_no)
+        if page is not None and not self._writeback:
+            # Evicted within the current operation: this object holds
+            # modifications that are not redo yet, while storage still
+            # has the older image.  Re-cache it instead of re-reading.
+            self._pages.put(page_no, page)
+            return page
         span = self.metrics.tracer.begin(
             "db.page_fetch", ctx.now_us, layer="db"
         )

@@ -23,7 +23,7 @@ import enum
 import struct
 from typing import Iterator, List, Optional, Tuple
 
-from repro.common.errors import CorruptionError
+from repro.common.errors import CorruptionError, DuplicateKeyError
 from repro.common.units import DB_PAGE_SIZE
 
 _MAGIC = 0x50D8
@@ -220,7 +220,7 @@ class Page:
             return False
         index, found = self._bisect(key)
         if found and self._read_slot(index)[1] != 0:
-            raise CorruptionError(f"duplicate key {key}")
+            raise DuplicateKeyError(f"duplicate key {key}")
         record = _RECORD_HEADER.pack(key, len(value)) + value
         record_offset = self.free_offset
         self._write(record_offset, record)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import ReproError
+from repro.common.errors import KeyNotFoundError, ReproError
 from repro.engine import ResourcePool
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
@@ -147,14 +147,14 @@ class RWNode:
     def _update_body(self, table: str, key: int, value: bytes):
         def body(ctx: OpContext):
             if not self.tree(table).update(ctx, key, value, self._next_lsn):
-                raise ReproError(f"update of missing key {key}")
+                raise KeyNotFoundError(f"update of missing key {key}")
 
         return body
 
     def _delete_body(self, table: str, key: int):
         def body(ctx: OpContext):
             if not self.tree(table).delete(ctx, key, self._next_lsn):
-                raise ReproError(f"delete of missing key {key}")
+                raise KeyNotFoundError(f"delete of missing key {key}")
 
         return body
 

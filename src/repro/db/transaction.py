@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import ReproError
+from repro.common.errors import KeyNotFoundError, ReproError
 from repro.db.bufferpool import OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, RWNode
 from repro.storage.redo import RedoRecord
@@ -113,7 +113,7 @@ class Transaction:
         ctx = OpContext(self.now_us + EXECUTE_CPU_US)
         if not self.rw.tree(table).update(ctx, key, value, self.rw._next_lsn):
             self._absorb(ctx)
-            raise ReproError(f"update of missing key {key}")
+            raise KeyNotFoundError(f"update of missing key {key}")
         self._pin_new_pages(ctx)
         self._absorb(ctx)
         return TxnResult(self.now_us)
@@ -125,7 +125,7 @@ class Transaction:
         ctx = OpContext(self.now_us + EXECUTE_CPU_US)
         if not self.rw.tree(table).delete(ctx, key, self.rw._next_lsn):
             self._absorb(ctx)
-            raise ReproError(f"delete of missing key {key}")
+            raise KeyNotFoundError(f"delete of missing key {key}")
         self._absorb(ctx)
         return TxnResult(self.now_us)
 

@@ -42,8 +42,12 @@ from typing import Callable, Dict, List, Optional
 from repro.engine.parallel import ParallelEngineGroup, workers_from_env
 from repro.obs import events as obs_events
 from repro.obs.slo import InvariantSLO, SLOEvaluator, ThresholdSLO
-from repro.perf.pool import default_workers
-from repro.perf.runtime import PerfRuntime, configure, deactivate
+from repro.perf.runtime import (
+    DEFAULT_MEMO_BYTES,
+    PerfRuntime,
+    configure,
+    deactivate,
+)
 
 #: Committed baseline / default output artifact, at the repo root.
 DEFAULT_REPORT = "BENCH_wallclock.json"
@@ -296,7 +300,7 @@ def _timed(
 
 
 def _peak_rss_bytes() -> int:
-    """Peak resident set, harness process + reaped pool workers."""
+    """Peak resident set, harness process + reaped engine workers."""
     self_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (self_kib + child_kib) * 1024
@@ -305,15 +309,12 @@ def _peak_rss_bytes() -> int:
 def run_harness(
     scenario_names: Optional[List[str]] = None,
     quick: bool = False,
-    perf_spec: Optional[Dict[str, object]] = None,
     verbose: bool = True,
     workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run each scenario serial/fast (and parallel); build the scoreboard.
 
-    ``perf_spec`` overrides the fast-path shape (keys: ``pool_workers``,
-    ``pool_kind``, ``memo_capacity_bytes``); the default is a process
-    pool sized to the host plus a 64 MiB memo.  ``workers >= 2`` adds the
+    The fast leg runs with a 64 MiB codec memo.  ``workers >= 2`` adds the
     third leg: the scenario re-runs across forked engine workers
     (``repro.engine.parallel``) with the perf runtime off, and its
     fingerprint must equal the serial reference byte for byte.  The
@@ -333,12 +334,7 @@ def run_harness(
     if workers is None:
         workers = workers_from_env() or 1
     workers = max(1, int(workers))
-    spec = {
-        "pool_workers": default_workers(),
-        "pool_kind": "process",
-        "memo_capacity_bytes": 64 * 1024 * 1024,
-    }
-    spec.update(perf_spec or {})
+    spec = {"memo_capacity_bytes": DEFAULT_MEMO_BYTES}
 
     def say(msg: str) -> None:
         if verbose:
@@ -373,8 +369,7 @@ def run_harness(
                 obs_events.FlightRecorder(capacity=16384)
             )
             try:
-                say(f"[{name}] fast path ({spec['pool_kind']} pool, "
-                    f"{spec['pool_workers']} workers) ...")
+                say(f"[{name}] fast path (codec memo) ...")
                 fast = _timed(fn, quick)
                 stats = runtime.stats()
             finally:
@@ -426,7 +421,6 @@ def run_harness(
             "sim_us": serial.sim_us,
             "codec_calls_saved": stats.get("codec_calls_saved", 0),
             "memo": stats.get("memo"),
-            "pool": stats.get("pool"),
             "events_recorded": recorder.total_emitted,
             "workers": workers,
             "detail": serial.detail,
@@ -560,15 +554,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check", default=None, metavar="BASELINE",
         help="compare against this committed scoreboard and exit 1 on "
-             f">{REGRESSION_TOLERANCE:.0%} speedup regression",
-    )
-    parser.add_argument(
-        "--pool-workers", type=int, default=None,
-        help="override pool size (0 disables the pool; default: auto)",
-    )
-    parser.add_argument(
-        "--pool-kind", choices=("process", "thread", "serial"),
-        default=None, help="override pool kind (default: process)",
+             f">{REGRESSION_TOLERANCE:.0%}% speedup regression",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -578,15 +564,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    spec: Dict[str, object] = {}
-    if args.pool_workers is not None:
-        spec["pool_workers"] = args.pool_workers
-    if args.pool_kind is not None:
-        spec["pool_kind"] = args.pool_kind
     scoreboard = run_harness(
         scenario_names=args.scenario,
         quick=args.quick,
-        perf_spec=spec or None,
         workers=args.workers,
     )
     diverged = [

@@ -37,14 +37,15 @@ KIND_HW_LEN = "h"
 _DIGEST_SIZE = 16
 
 
-def content_key(kind: str, codec: str, data) -> Tuple[str, str, bytes]:
-    """Cache key for one codec call: ``(kind, codec, blake2b(content))``.
+def content_digest(data) -> bytes:
+    """BLAKE2b-128 of ``data`` — ``bytes``, ``bytearray``, or
+    ``memoryview``; hashing reads the buffer without copying it."""
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
-    ``data`` may be ``bytes``, ``bytearray``, or ``memoryview`` — hashing
-    reads the buffer without copying it.
-    """
-    digest = hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
-    return (kind, codec, digest)
+
+def content_key(kind: str, codec: str, data) -> Tuple[str, str, bytes]:
+    """Cache key for one codec call: ``(kind, codec, blake2b(content))``."""
+    return (kind, codec, content_digest(data))
 
 
 class CodecMemoCache:

@@ -15,7 +15,7 @@ from repro.storage.allocator import BitmapAllocator, GlobalAllocator, SpaceManag
 from repro.storage.cache import LRUCache
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
 from repro.storage.node import NodeConfig, StorageNode
-from repro.storage.raft import NetworkModel, ReplicationGroup
+from repro.storage.raft import NetworkModel
 from repro.storage.store import CompressionMode, PolarStore
 from repro.storage.wal import WriteAheadLog
 
@@ -29,7 +29,6 @@ __all__ = [
     "CompressionInfo",
     "WriteAheadLog",
     "NetworkModel",
-    "ReplicationGroup",
     "StorageNode",
     "NodeConfig",
     "PolarStore",

@@ -497,7 +497,7 @@ class StorageNode:
         raw = completion.data
         if entry.payload_len == len(raw):
             payload = raw
-        elif runtime is not None and runtime.zero_copy:
+        elif runtime is not None:
             # Trim the block padding without copying the page body: CRC,
             # hashing, and both codecs read straight from the view.
             payload = memoryview(raw)[: entry.payload_len]

@@ -68,8 +68,7 @@ def unseal_block(blob: bytes) -> bytes:
     body = memoryview(blob)[_SEAL.size : _SEAL.size + length]
     if len(body) != length or crc32(body) != crc:
         raise ChecksumError("log block fails CRC verification")
-    runtime = perf_active()
-    if runtime is not None and runtime.zero_copy:
+    if perf_active() is not None:
         return body
     return bytes(body)
 

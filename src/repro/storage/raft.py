@@ -1,13 +1,13 @@
-"""Simplified Raft-style 3-way replication (§3.2.1).
+"""Replication network model (§3.2.1).
 
-PolarStore commits a write once the leader and a majority of replicas have
-persisted it.  This module models exactly that commit rule plus the
-network.  Leadership election and log repair live in
-:mod:`repro.consensus` — a full Raft implementation (randomized election
-timers, term fencing, nextIndex backoff) that a volume opts into via
-:meth:`PolarStore.attach_consensus`; without it leadership stays static
-at replica 0, and follower failure / quorum loss are still modeled so
-the availability behaviour is testable either way.
+PolarStore commits a write once the leader and a majority of replicas
+have persisted it.  :class:`~repro.storage.store.PolarStore` applies
+that commit rule (``_commit_time``) and prices every replica RPC with
+the :class:`NetworkModel` below.  Leadership election and log repair
+live in :mod:`repro.consensus` — a full Raft implementation (randomized
+election timers, term fencing, nextIndex backoff) that a volume opts
+into via :meth:`PolarStore.attach_consensus`; without it leadership
+stays static at replica 0.
 
 Timing: the leader issues the replica RPCs in parallel; each follower
 persists through its own device queue; the commit time is the leader
@@ -18,9 +18,7 @@ persist time joined with the second-fastest follower acknowledgement
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
 
-from repro.common.errors import RaftError
 from repro.common.units import KiB
 
 
@@ -38,88 +36,3 @@ class NetworkModel:
     def rpc_us(self, payload_bytes: int) -> float:
         """One-way message cost for ``payload_bytes``."""
         return self.one_way_us + self.per_kib_us * payload_bytes / KiB
-
-
-#: A persist function: (start_us, payload) -> completion time in µs.
-PersistFn = Callable[[float, bytes], float]
-
-
-class Replica:
-    """One member of the group; ``persist`` writes to its local durable
-    medium (WAL device or data device, injected by the storage node)."""
-
-    def __init__(self, name: str, persist: PersistFn) -> None:
-        self.name = name
-        self.persist = persist
-        self.alive = True
-        self.persisted_count = 0
-
-    def handle_append(self, arrive_us: float, payload: bytes) -> float:
-        if not self.alive:
-            raise RaftError(f"replica {self.name} is down")
-        done = self.persist(arrive_us, payload)
-        self.persisted_count += 1
-        return done
-
-
-@dataclass(frozen=True)
-class CommitResult:
-    commit_us: float
-    leader_persist_us: float
-    follower_acks_us: List[float]
-
-
-class ReplicationGroup:
-    """Leader + followers with majority-commit semantics."""
-
-    def __init__(
-        self,
-        leader: Replica,
-        followers: Sequence[Replica],
-        network: NetworkModel = NetworkModel(),
-    ) -> None:
-        if not followers:
-            raise RaftError("need at least one follower")
-        self.leader = leader
-        self.followers = list(followers)
-        self.network = network
-
-    @property
-    def size(self) -> int:
-        return 1 + len(self.followers)
-
-    @property
-    def quorum(self) -> int:
-        return self.size // 2 + 1
-
-    def replicate(self, start_us: float, payload: bytes) -> CommitResult:
-        """Persist ``payload`` on a majority; returns commit timing.
-
-        Raises :class:`RaftError` when too few replicas are alive to form
-        a quorum (counting the leader).
-        """
-        if not self.leader.alive:
-            raise RaftError("leader is down")
-        leader_done = self.leader.handle_append(start_us, payload)
-
-        acks: List[float] = []
-        send_cost = self.network.rpc_us(len(payload))
-        ack_cost = self.network.rpc_us(64)  # small ack message
-        for follower in self.followers:
-            if not follower.alive:
-                continue
-            arrive = start_us + send_cost
-            persisted = follower.handle_append(arrive, payload)
-            acks.append(persisted + ack_cost)
-
-        alive = 1 + len(acks)
-        if alive < self.quorum:
-            raise RaftError(
-                f"no quorum: {alive}/{self.size} alive, need {self.quorum}"
-            )
-        acks.sort()
-        needed_acks = self.quorum - 1  # leader counts toward quorum
-        commit = leader_done
-        if needed_acks > 0:
-            commit = max(commit, acks[needed_acks - 1])
-        return CommitResult(commit, leader_done, acks)

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro.common.errors import DuplicateKeyError, KeyNotFoundError
 from repro.common.latency import LatencyStats
 from repro.engine import Engine
 from repro.workloads.zipf import ZipfSampler
@@ -82,24 +83,27 @@ class _TxnContext:
     def range_scan(self, key: int, span: int = 20):
         yield from self._op("range_select", self.table, key, key + span)
 
+    # Only the key-existence outcomes fall back: any other failure
+    # (corruption, lost quorum, a bug) propagates out of the driver.
+
     def update_non_index(self, key: int):
         value = default_value(self.rng, key)
         try:
             yield from self._op("update", self.table, key, value)
-        except Exception:
+        except KeyNotFoundError:
             yield from self._op("insert", self.table, key, value)
 
     def update_index(self, key: int):
         """Index-column update: reposition the row (delete + insert)."""
         try:
             yield from self._op("delete", self.table, key)
-        except Exception:
+        except KeyNotFoundError:
             pass
         try:
             yield from self._op(
                 "insert", self.table, key, default_value(self.rng, key)
             )
-        except Exception:
+        except DuplicateKeyError:
             yield from self.update_non_index(key)
 
     def insert_fresh(self):

@@ -93,55 +93,37 @@ def test_perf_defaults_off():
     config = ReproConfig()
     assert config.perf == PerfConfig()
     assert config.perf.enabled is False
-    assert config.perf.pool_workers == -1  # auto-size when enabled
-    assert config.perf.zero_copy is True
+    assert config.perf.memo_capacity_bytes == 64 * MiB
 
 
 def test_perf_dict_round_trip():
     config = ReproConfig.from_dict({
-        "perf": {
-            "enabled": True,
-            "pool_workers": 3,
-            "pool_kind": "thread",
-            "memo_capacity_bytes": 8 * MiB,
-            "zero_copy": False,
-            "arena_slots": 4,
-        },
+        "perf": {"enabled": True, "memo_capacity_bytes": 8 * MiB},
     })
     assert config.perf.enabled is True
-    assert config.perf.pool_workers == 3
-    assert config.perf.pool_kind == "thread"
     assert config.perf.memo_capacity_bytes == 8 * MiB
-    assert config.perf.zero_copy is False
-    assert config.perf.arena_slots == 4
     # Strict identity both ways.
     assert ReproConfig.from_dict(config.to_dict()) == config
     assert config.to_dict()["perf"] == {
         "enabled": True,
-        "pool_workers": 3,
-        "pool_kind": "thread",
         "memo_capacity_bytes": 8 * MiB,
-        "zero_copy": False,
-        "arena_slots": 4,
     }
 
 
 def test_perf_unknown_key_rejected():
     with pytest.raises(ValueError, match="perf"):
         ReproConfig.from_dict({"perf": {"pool_size": 4}})
+    # Keys of the removed codec pool and page arena are unknown now.
+    for key in ("pool_workers", "pool_kind", "zero_copy", "arena_slots"):
+        with pytest.raises(ValueError, match=key):
+            ReproConfig.from_dict({"perf": {key: 1}})
 
 
 def test_perf_validation_rejects_bad_values():
-    with pytest.raises(ValueError, match="pool_kind"):
-        ReproConfig.from_dict({"perf": {"pool_kind": "fibers"}}).validate()
-    with pytest.raises(ValueError, match="pool_workers"):
-        ReproConfig.from_dict({"perf": {"pool_workers": -2}}).validate()
     with pytest.raises(ValueError, match="memo_capacity_bytes"):
         ReproConfig.from_dict(
             {"perf": {"memo_capacity_bytes": -1}}
         ).validate()
-    with pytest.raises(ValueError, match="arena_slots"):
-        ReproConfig.from_dict({"perf": {"arena_slots": 0}}).validate()
 
 
 def test_per_instance_sections_do_not_alias():

@@ -118,6 +118,22 @@ def test_evicted_pages_are_reconstructed_from_redo():
         assert db.select(now, "t", key).value == value_for(key)
 
 
+def test_two_page_pool_keeps_every_bulk_loaded_row():
+    """A page evicted and fetched again within one operation must come
+    back with its not-yet-redo modifications, not storage's older image
+    (a 2-page pool used to lose 46 of these 240 rows)."""
+    db = make_db(buffer_pool_pages=2, volume_bytes=64 * MiB)
+    rows = [(key, value_for(key, 100)) for key in range(240)]
+    now = db.checkpoint(db.bulk_load(0.0, "t", rows))
+    lost = []
+    for key, value in rows:
+        result = db.select(now, "t", key)
+        now = result.done_us
+        if result.value != value:
+            lost.append(key)
+    assert lost == []
+
+
 def test_ro_node_reads_through_storage():
     db = make_db(buffer_pool_pages=64)
     now = 0.0

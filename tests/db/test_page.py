@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import CorruptionError
+from repro.common.errors import CorruptionError, DuplicateKeyError
 from repro.common.units import DB_PAGE_SIZE
 from repro.db.page import Page, PageType
 from repro.storage.redo import RedoRecord, apply_records
@@ -41,7 +41,8 @@ def test_insert_get():
 def test_insert_duplicate_key_rejected():
     page = Page.new(1, PageType.LEAF)
     page.insert(1, b"a", 1)
-    with pytest.raises(CorruptionError):
+    # A key-existence error, distinct from real corruption.
+    with pytest.raises(DuplicateKeyError):
         page.insert(1, b"b", 2)
 
 

@@ -1,4 +1,4 @@
-"""Unit coverage for the fast-path building blocks (memo, pool, arena)."""
+"""Unit coverage for the fast-path building blocks (memo and runtime)."""
 
 import pytest
 
@@ -9,13 +9,11 @@ from repro.perf.runtime import (
 )
 
 from repro.compression.base import get_codec
-from repro.perf.arena import PageArena
 from repro.perf.memo import (
     CodecMemoCache,
     memo_key_compress,
     memo_key_decompress,
 )
-from repro.perf.pool import CodecPool, default_workers
 from repro.perf.runtime import PerfRuntime
 
 
@@ -74,65 +72,6 @@ def test_memo_zero_capacity_disabled_in_runtime():
     payload, crc = runtime.compress("lz4", PAGE)
     assert get_codec("lz4").decompress(payload) == PAGE
     assert runtime.codec_calls_saved == 0
-    runtime.shutdown()
-
-
-# -- pool -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["thread", "process", "serial"])
-def test_pool_roundtrip_matches_inline(kind):
-    pool = CodecPool(2, kind)
-    try:
-        expected = get_codec("lz4").compress(PAGE)
-        pending = pool.submit_compress("lz4", PAGE)
-        payload, crc = pending.result()
-        assert payload == expected
-        back = pool.submit_decompress("lz4", payload).result()
-        assert back == PAGE
-        stats = pool.stats()
-        assert stats["submitted"] == 2 and stats["completed"] == 2
-    finally:
-        pool.shutdown()
-
-
-def test_pool_results_resolve_in_submission_order():
-    pool = CodecPool(2, "thread")
-    try:
-        pages = [bytes([i]) * 16384 for i in range(6)]
-        pendings = [pool.submit_compress("lz4", p) for p in pages]
-        results = [p.result()[0] for p in pendings]
-        assert results == [get_codec("lz4").compress(p) for p in pages]
-    finally:
-        pool.shutdown()
-
-
-def test_default_workers_positive():
-    assert default_workers() >= 1
-
-
-# -- arena ------------------------------------------------------------------
-
-
-def test_arena_reuses_released_buffers():
-    arena = PageArena(slots=2)
-    buf = arena.borrow(16 * 1024)
-    assert len(buf) == 16 * 1024
-    arena.release(buf)
-    again = arena.borrow(16 * 1024)
-    assert again is buf
-    stats = arena.stats()
-    assert stats["reuses"] == 1
-    assert arena.reuse_rate > 0.0
-
-
-def test_arena_bounded_by_slots():
-    arena = PageArena(slots=1)
-    a, b = arena.borrow(1024), arena.borrow(1024)
-    arena.release(a)
-    arena.release(b)  # beyond capacity: dropped, not hoarded
-    assert arena.borrow(1024) is a
-    assert arena.borrow(1024) is not b
 
 
 # -- runtime orchestration --------------------------------------------------
@@ -140,31 +79,42 @@ def test_arena_bounded_by_slots():
 
 def test_runtime_compress_is_memoized_and_correct():
     runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
-    try:
-        first = runtime.compress("zstd", PAGE)
-        second = runtime.compress("zstd", PAGE)
-        assert first == second
-        assert runtime.codec_calls_saved == 1
-        assert get_codec("zstd").decompress(first[0]) == PAGE
-    finally:
-        runtime.shutdown()
+    first = runtime.compress("zstd", PAGE)
+    second = runtime.compress("zstd", PAGE)
+    assert first == second
+    assert runtime.codec_calls_saved == 1
+    assert get_codec("zstd").decompress(first[0]) == PAGE
 
 
 def test_runtime_compress_pair_matches_serial_codecs():
-    runtime = PerfRuntime(
-        pool_workers=2, pool_kind="thread", memo_capacity_bytes=1 << 20
-    )
-    try:
-        out = runtime.compress_pair(PAGE)
-        assert set(out) == {"lz4", "zstd"}
-        for codec_name, (payload, _crc) in out.items():
-            assert payload == get_codec(codec_name).compress(PAGE)
-        assert runtime.pool.stats()["batches"] == 1
-        # Second evaluation of the same page is served from the memo.
-        runtime.compress_pair(PAGE)
-        assert runtime.codec_calls_saved == 2
-    finally:
-        runtime.shutdown()
+    runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
+    out = runtime.compress_pair(PAGE)
+    assert set(out) == {"lz4", "zstd"}
+    for codec_name, (payload, _crc) in out.items():
+        assert payload == get_codec(codec_name).compress(PAGE)
+    # A missing page costs one lookup (one miss) per codec, not two.
+    assert runtime.memo.stats()["misses"] == 2
+    assert runtime.codec_calls_saved == 0
+    # Second evaluation of the same page is served from the memo.
+    assert runtime.compress_pair(PAGE) == out
+    assert runtime.codec_calls_saved == 2
+    assert runtime.memo.stats()["hits"] == 2
+
+
+def test_runtime_compress_pair_hashes_the_page_once(monkeypatch):
+    from repro.perf import runtime as runtime_mod
+
+    calls = []
+    real = runtime_mod.content_digest
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(runtime_mod, "content_digest", counting)
+    runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
+    runtime.compress_pair(PAGE)
+    assert calls == [len(PAGE)]
 
 
 def test_configure_from_env(monkeypatch):
@@ -176,16 +126,19 @@ def test_configure_from_env(monkeypatch):
         monkeypatch.setenv("REPRO_PERF", "0")
         configure_from_env()
         assert perf_active() is None
-        monkeypatch.setenv(
-            "REPRO_PERF", "pool=2,memo=8,kind=thread"
-        )
+        monkeypatch.setenv("REPRO_PERF", "memo=8")
         configure_from_env()
         runtime = perf_active()
         assert runtime is not None
-        assert runtime.pool.workers == 2
-        assert runtime.pool.kind == "thread"
         assert runtime.memo.capacity_bytes == 8 * 1024 * 1024
-        monkeypatch.setenv("REPRO_PERF", "pool=oops")
+        monkeypatch.setenv("REPRO_PERF", "1")
+        configure_from_env()
+        assert perf_active().memo.capacity_bytes == 64 * 1024 * 1024
+        monkeypatch.setenv("REPRO_PERF", "memo=oops")
+        with pytest.raises(ValueError):
+            configure_from_env()
+        # The codec-pool keys are gone, so they are rejected like typos.
+        monkeypatch.setenv("REPRO_PERF", "pool=2")
         with pytest.raises(ValueError):
             configure_from_env()
         monkeypatch.setenv("REPRO_PERF", "turbo=9")
@@ -197,10 +150,7 @@ def test_configure_from_env(monkeypatch):
 
 def test_runtime_decompress_roundtrip():
     runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
-    try:
-        payload = get_codec("lz4").compress(PAGE)
-        assert runtime.decompress("lz4", payload, verified=True) == PAGE
-        assert runtime.decompress("lz4", payload, verified=True) == PAGE
-        assert runtime.codec_calls_saved == 1
-    finally:
-        runtime.shutdown()
+    payload = get_codec("lz4").compress(PAGE)
+    assert runtime.decompress("lz4", payload, verified=True) == PAGE
+    assert runtime.decompress("lz4", payload, verified=True) == PAGE
+    assert runtime.codec_calls_saved == 1

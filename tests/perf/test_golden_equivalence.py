@@ -4,7 +4,7 @@ Each test runs the same seeded workload twice — serial reference, then
 with a configured :class:`~repro.perf.runtime.PerfRuntime` — and
 asserts byte-identical outputs and identical simulated timestamps.
 This is the contract everything in ``repro.perf`` hangs off: memo hits,
-pooled codec calls, and zero-copy buffer handling are invisible to the
+memo evictions, and zero-copy buffer handling are invisible to the
 simulated universe.
 """
 
@@ -79,19 +79,14 @@ def _store_trace():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [
-        {"pool_workers": 0, "memo_capacity_bytes": 8 * MiB},
-        {"pool_workers": 2, "pool_kind": "thread",
-         "memo_capacity_bytes": 8 * MiB},
-        {"pool_workers": 2, "pool_kind": "thread",
-         "memo_capacity_bytes": 8 * MiB, "zero_copy": False},
-    ],
-    ids=["memo-only", "memo+pool", "no-zero-copy"],
+    "capacity",
+    # memo-evicting: a few pages' worth, so LRU evictions happen mid-run.
+    [8 * MiB, 64 * 1024],
+    ids=["memo-only", "memo-evicting"],
 )
-def test_store_pipeline_golden(spec):
+def test_store_pipeline_golden(capacity):
     serial = _store_trace()
-    runtime = PerfRuntime(**spec)
+    runtime = PerfRuntime(memo_capacity_bytes=capacity)
     configure(runtime)
     fast = _store_trace()
     stats = runtime.stats()
@@ -99,6 +94,8 @@ def test_store_pipeline_golden(spec):
     assert fast == serial
     # The fast path actually engaged: duplicate codec work was elided.
     assert stats["codec_calls_saved"] > 0
+    if capacity < 1 * MiB:
+        assert stats["memo"]["evictions"] > 0
 
 
 def test_sysbench_scenario_golden():
@@ -106,9 +103,7 @@ def test_sysbench_scenario_golden():
     stack (B+tree, buffer pool, group commit, checkpoint, scrub) is
     byte- and sim-time-identical under the fast path."""
     serial = harness._timed(harness.scenario_sysbench8, quick=True)
-    runtime = PerfRuntime(
-        pool_workers=2, pool_kind="thread", memo_capacity_bytes=8 * MiB
-    )
+    runtime = PerfRuntime(memo_capacity_bytes=8 * MiB)
     configure(runtime)
     fast = harness._timed(harness.scenario_sysbench8, quick=True)
     saved = runtime.codec_calls_saved

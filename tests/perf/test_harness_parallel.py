@@ -97,3 +97,13 @@ def test_real_parallel_leg_is_byte_identical_quick():
     row = scoreboard["scenarios"]["cluster_ingest"]
     assert row["identical"] is True
     assert row["parallel"]["identical"] is True
+
+
+def test_help_renders_the_regression_tolerance(capsys):
+    # argparse %-formats help strings, so a bare "%" from the f-string
+    # used to garble the whole --help output.
+    with pytest.raises(SystemExit):
+        ph.main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert ">30% speedup regression" in out
+    assert "option_strings" not in out

@@ -1,10 +1,16 @@
-"""WAL, page index, and replication-group semantics."""
+"""WAL, page index, and majority-commit replication semantics."""
 
 import pytest
 
 from repro.common.errors import RaftError, WALError
+from repro.common.units import MiB
+from repro.consensus import RaftGroup
+from repro.engine import Engine
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
-from repro.storage.raft import NetworkModel, Replica, ReplicationGroup
+from repro.storage.node import NodeConfig
+from repro.storage.raft import NetworkModel
+from repro.storage.redo import RedoRecord
+from repro.storage.store import PolarStore
 from repro.storage.wal import (
     WALRecordType,
     WriteAheadLog,
@@ -144,72 +150,72 @@ def test_index_logical_bytes():
 
 
 # --------------------------------------------------------------------- #
-# Replication                                                            #
+# Replication: the volume's majority-commit rule                         #
 # --------------------------------------------------------------------- #
 
 
-def _persist(latency):
-    return lambda start, payload: start + latency
-
-
-def make_group(leader_lat=10.0, follower_lats=(12.0, 20.0), net=None):
-    leader = Replica("leader", _persist(leader_lat))
-    followers = [
-        Replica(f"f{i}", _persist(lat)) for i, lat in enumerate(follower_lats)
-    ]
-    group = ReplicationGroup(
-        leader, followers, net or NetworkModel(one_way_us=5.0, per_kib_us=0.0)
+def make_store(leader_us=10.0, follower_us=(12.0, 20.0), per_kib_us=0.0):
+    """A 3-replica volume whose redo persists take fixed times."""
+    store = PolarStore(
+        NodeConfig(),
+        volume_bytes=64 * MiB,
+        network=NetworkModel(one_way_us=5.0, per_kib_us=per_kib_us),
     )
-    return group, leader, followers
+    for node, latency in zip(store.nodes, (leader_us, *follower_us)):
+        node.persist_redo = (
+            lambda start, blob, latency=latency: start + latency
+        )
+    return store
+
+
+def commit_redo(store, start_us=0.0, nbytes=64):
+    record = RedoRecord(lsn=1, page_no=3, offset=0, data=b"x" * nbytes)
+    return store.write_redo(start_us, [record])
 
 
 def test_commit_waits_for_majority_not_all():
-    group, _, _ = make_group()
-    result = group.replicate(0.0, b"x" * 100)
     # Leader done at 10; follower acks at 5+12+5=22 and 5+20+5=30.
     # Quorum = 2 (leader + fastest follower) => commit at 22, not 30.
-    assert result.leader_persist_us == 10.0
-    assert result.commit_us == 22.0
-    assert sorted(result.follower_acks_us) == [22.0, 30.0]
+    assert commit_redo(make_store()) == 22.0
 
 
 def test_commit_bounded_by_leader_when_leader_slow():
-    group, _, _ = make_group(leader_lat=50.0)
-    result = group.replicate(0.0, b"x")
-    assert result.commit_us == 50.0
+    assert commit_redo(make_store(leader_us=50.0)) == 50.0
 
 
 def test_one_follower_down_still_commits():
-    group, _, followers = make_group()
-    followers[0].alive = False
-    result = group.replicate(0.0, b"x")
-    assert result.commit_us == 30.0  # must wait for the slow follower
+    store = make_store()
+    store.fail_node(1)
+    assert commit_redo(store) == 30.0  # must wait for the slow follower
 
 
 def test_no_quorum_raises():
-    group, _, followers = make_group()
-    for follower in followers:
-        follower.alive = False
-    with pytest.raises(RaftError):
-        group.replicate(0.0, b"x")
+    store = make_store()
+    store.fail_node(1)
+    store.fail_node(2)
+    with pytest.raises(RaftError, match="no quorum"):
+        commit_redo(store)
 
 
 def test_dead_leader_raises():
-    group, leader, _ = make_group()
-    leader.alive = False
-    with pytest.raises(RaftError):
-        group.replicate(0.0, b"x")
+    store = make_store()
+    engine = Engine()
+    group = RaftGroup(engine, 3, seed=13, metrics=store.metrics).start()
+    store.bind_engine(engine)
+    store.attach_consensus(group)
+    engine.run_until_idle(limit_us=40_000.0)
+    store.fail_node(store.leader_index)
+    # Until an election runs, the volume has no live leader to write to.
+    with pytest.raises(RaftError, match="leader replica is down"):
+        commit_redo(store, start_us=engine.now_us)
 
 
 def test_payload_size_slows_replication():
-    net = NetworkModel(one_way_us=5.0, per_kib_us=1.0)
-    group, _, _ = make_group(net=net)
-    small = group.replicate(0.0, b"x" * 1024).commit_us
-    group2, _, _ = make_group(net=net)
-    large = group2.replicate(0.0, b"x" * 64 * 1024).commit_us
+    small = commit_redo(make_store(per_kib_us=1.0), nbytes=256)
+    large = commit_redo(make_store(per_kib_us=1.0), nbytes=8 * 1024)
     assert large > small
 
 
-def test_group_requires_followers():
-    with pytest.raises(RaftError):
-        ReplicationGroup(Replica("l", _persist(1.0)), [])
+def test_store_requires_a_replica():
+    with pytest.raises(ValueError):
+        PolarStore(NodeConfig(), volume_bytes=64 * MiB, replicas=0)

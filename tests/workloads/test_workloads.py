@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.common.errors import RaftError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.base import get_codec
 from repro.storage.node import NodeConfig
@@ -227,3 +228,18 @@ def test_elapsed_tracks_actual_span(loaded_db):
     assert result.tps == pytest.approx(
         result.transactions / result.elapsed_s
     )
+
+
+@pytest.mark.parametrize("workload", ["update_non_index", "update_index"])
+def test_update_failures_other_than_key_existence_propagate(workload):
+    # Only a missing or duplicate key may turn an update into a
+    # fallback; losing quorum must surface as the RaftError it is.
+    db = PolarDB(config=NodeConfig(), volume_bytes=64 * MiB, seed=5)
+    loaded = prepare_table(db, rows=50)
+    db.store.fail_node(1)
+    db.store.fail_node(2)
+    with pytest.raises(RaftError, match="no quorum"):
+        run_sysbench(
+            db, workload, duration_s=0.01, threads=1, key_range=50,
+            start_us=loaded, max_transactions=1,
+        )
