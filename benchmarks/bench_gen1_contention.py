@@ -13,7 +13,7 @@ back) both fall out of the model.
 import random
 
 from repro.bench.harness import ExperimentResult, print_table, save_result
-from repro.common.clock import ResourcePool
+from repro.engine import ResourcePool
 from repro.common.latency import LatencyStats
 from repro.common.units import GiB
 from repro.compression.cost import codec_cost

@@ -412,7 +412,6 @@ def cmd_serve(args) -> int:
     from repro.net.server import PolarStoreServer
 
     doc = {
-        "engine": {"enabled": not args.no_engine},
         "net": {"window": args.window},
         "store": {"seed": args.seed},
     }
@@ -425,7 +424,6 @@ def cmd_serve(args) -> int:
         print(
             f"serving PolarStore on {host}:{port} "
             f"(window {args.window}, "
-            f"engine {'off' if args.no_engine else 'on'}, "
             f"shards {args.shards or 'single volume'}) — ctrl-c to stop",
             flush=True,
         )
@@ -454,7 +452,6 @@ def cmd_load(args) -> int:
     handle = None
     if args.addr is None:
         config = ReproConfig.from_dict({
-            "engine": {"enabled": True},
             "net": {"window": args.window},
             "store": {"seed": args.seed},
         })
@@ -787,11 +784,6 @@ def main(argv=None) -> int:
         "--shards", type=int, default=0,
         help="host a sharded cluster runtime instead of a single "
              "volume (default: 0 = single volume)",
-    )
-    serve_p.add_argument(
-        "--no-engine", action="store_true",
-        help="serve the analytic synchronous path (no event kernel, "
-             "no pipelining, no admission control)",
     )
     load_p = sub.add_parser(
         "load",

@@ -13,11 +13,11 @@ historical seams stay hidden regardless of where the engine runs:
   return completion times the caller must loop back in; the transport
   keeps the simulated-time cursor itself (read it via
   :attr:`PolarStoreClient.now_us`);
-* **sync vs ``_proc`` dispatch** — with ``engine.enabled`` every
-  operation routes through the engine-native generator path (statement
-  CPU queues on core pools, redo coalesces in group commit); without it
-  the analytic synchronous path runs.  Same method, same result type,
-  identical single-client timings (tested to equality);
+* **sync vs ``_proc`` dispatch** — every DML call runs the matching
+  ``*_proc`` generator to completion on the deployment's own engine
+  (statement CPU queues on core pools, redo coalesces in group commit);
+  concurrent drivers get the generators themselves.  Same method, same
+  result type, identical single-client timings (tested to equality);
 * **single volume vs sharded cluster** — with ``cluster.shards >= 2``
   the same methods route by key range across a
   :class:`~repro.cluster.runtime.ClusterRuntime` of real replica groups,
@@ -78,8 +78,8 @@ class PolarStoreClient:
 
     @property
     def engine(self):
-        """The bound event kernel (None in plain synchronous mode;
-        in-process access required)."""
+        """The event kernel every operation runs on (in-process access
+        required)."""
         return self._transport.engine
 
     @property

@@ -76,11 +76,9 @@ class StoreSection:
 
 @dataclass
 class EngineSection:
-    """Discrete-event kernel binding (PR 3's concurrency runtime)."""
+    """How the stack binds its discrete-event kernel (every statement
+    runs as an engine process)."""
 
-    #: Bind the stack to a shared event kernel at open time; operations
-    #: then dispatch through the engine-native ``*_proc`` paths.
-    enabled: bool = False
     #: Group-commit window (0 = flush immediately; batching still
     #: emerges under load).
     group_commit_window_us: float = 0.0

@@ -1,9 +1,9 @@
 """Config-driven constructors: the one place the stack gets wired.
 
 Everything :meth:`repro.api.PolarStore.open` returns is built here from a
-:class:`~repro.api.config.ReproConfig`; the legacy constructor plumbing
+:class:`~repro.api.config.ReproConfig`; the original constructors
 (``build_node``/``PolarStore(...)``/``PolarDB(...)`` with hand-threaded
-kwargs) remains available as thin shims for existing call sites.
+kwargs) remain available from their own modules.
 """
 
 from __future__ import annotations
@@ -55,14 +55,26 @@ def build_store(config: ReproConfig, seed_offset: int = 0):
 
 
 def build_db(config: ReproConfig, seed_offset: int = 0):
-    """A :class:`~repro.db.database.PolarDB` instance on a fresh volume."""
+    """A :class:`~repro.db.database.PolarDB` instance on a fresh volume,
+    its engine bound with the config's ``engine`` section."""
     from repro.db.database import PolarDB
 
-    return PolarDB(
+    db = PolarDB(
         store=build_store(config, seed_offset=seed_offset),
         buffer_pool_pages=config.db.buffer_pool_pages,
         ro_nodes=config.db.ro_nodes,
     )
+    db.bind_engine(db.engine, **engine_binding(config))
+    return db
+
+
+def engine_binding(config: ReproConfig) -> dict:
+    """The ``bind_engine`` keyword arguments of the ``engine`` section."""
+    return {
+        "group_commit_window_us": config.engine.group_commit_window_us,
+        "qd": config.engine.qd,
+        "defer_gc": config.engine.defer_gc,
+    }
 
 
 def build_cluster(config: ReproConfig, engine=None):

@@ -7,8 +7,8 @@ client rides on either side of a socket:
 
 * :class:`LocalTransport` — in-process access, built from a
   :class:`~repro.api.config.ReproConfig` exactly as ``PolarStore.open``
-  always did.  It owns the volume/cluster, the optional event kernel,
-  and the simulated-time cursor, and executes ops directly.
+  always did.  It owns the volume/cluster, its event kernel, and the
+  simulated-time cursor, and executes ops directly.
 * :class:`repro.net.client.SocketTransport` — remote access over the
   ``repro.net`` wire protocol, returned by ``PolarStore.connect``.
   Same ops, same result shapes, same simulated timings (golden-tested
@@ -141,7 +141,7 @@ class LocalTransport(Transport):
     client, behind the transport boundary.
 
     Keeps the historical seams hidden exactly as before: the simulated
-    time cursor, sync-vs-``_proc`` routing when an engine is bound, and
+    time cursor, running every DML op as one engine process, and
     single-volume vs sharded-cluster backends behind the same ops.
     """
 
@@ -158,19 +158,7 @@ class LocalTransport(Transport):
         else:
             self._runtime = None
             self._db = build_db(config)
-            self._engine = None
-            if config.engine.enabled:
-                from repro.engine import Engine
-
-                self._engine = Engine()
-                self._db.bind_engine(
-                    self._engine,
-                    group_commit_window_us=(
-                        config.engine.group_commit_window_us
-                    ),
-                    qd=config.engine.qd,
-                    defer_gc=config.engine.defer_gc,
-                )
+            self._engine = self._db.engine
 
     # -- locals the client (and the net server) may reach ------------------
 
@@ -210,7 +198,7 @@ class LocalTransport(Transport):
 
     def describe(self) -> Dict[str, object]:
         doc = super().describe()
-        doc["engine"] = self._engine is not None
+        doc["engine"] = True
         doc["shards"] = self._config.cluster.shards
         return doc
 
@@ -218,14 +206,11 @@ class LocalTransport(Transport):
 
     @property
     def now_us(self) -> float:
-        if self._engine is not None:
-            return max(self._now_us, self._engine.now_us)
-        return self._now_us
+        return max(self._now_us, self._engine.now_us)
 
     def advance_to(self, now_us: float) -> float:
         self._now_us = max(self._now_us, now_us)
-        if self._engine is not None:
-            self._engine.advance_to(self._now_us)
+        self._engine.advance_to(self._now_us)
         return self.now_us
 
     # -- engine adoption (workload-driver compatibility) -------------------
@@ -253,18 +238,11 @@ class LocalTransport(Transport):
         return handler(*args, **kwargs)
 
     def _dispatch(self, op: str, *args, **kwargs):
-        """Route one DML op sync-vs-proc based on engine binding."""
-        backend = self.backend()
-        if self._engine is not None:
-            self._engine.advance_to(self._now_us)
-            result = self._engine.run(
-                getattr(backend, op + "_proc")(*args, **kwargs)
-            )
-            self._now_us = max(self._now_us, self._engine.now_us)
-        else:
-            result = getattr(backend, op)(self._now_us, *args, **kwargs)
-            done = getattr(result, "done_us", result)
-            self._now_us = max(self._now_us, float(done))
+        """Run one DML op as an engine process at the cursor."""
+        result = self._engine.run_at(
+            self._now_us, self.proc(op, *args, **kwargs)
+        )
+        self._now_us = max(self._now_us, self._engine.now_us)
         return result
 
     def proc(self, op: str, *args, **kwargs):
@@ -295,8 +273,7 @@ class LocalTransport(Transport):
 
     def _op_bulk_load(self, table: str, rows) -> float:
         backend = self.backend()
-        if self._engine is not None:
-            self._engine.advance_to(self._now_us)
+        self._engine.advance_to(self._now_us)
         done = backend.bulk_load(
             self.now_us, table, [(k, bytes(v)) for k, v in rows]
         )

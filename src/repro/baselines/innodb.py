@@ -23,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import ResourcePool
+from repro.engine import ResourcePool
 from repro.common.errors import KeyNotFoundError, ReproError
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, ceil_div
 from repro.compression.base import get_codec

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.common.clock import ResourcePool
+from repro.engine import ResourcePool
 from repro.common.errors import ReproError
 from repro.common.units import MiB
 from repro.csd.device import PlainSSD

@@ -56,7 +56,6 @@ def _row_value(rng: random.Random, compressible: bool) -> bytes:
 def scenario_config(shards: int = 4, seed: int = 0) -> ReproConfig:
     return ReproConfig.from_dict({
         "store": {"volume_bytes": 16 * MiB, "seed": seed},
-        "engine": {"enabled": True},
         "cluster": {
             "shards": shards,
             "chunk_keys": 8,

@@ -227,7 +227,6 @@ class ParallelClusterRuntime(ClusterRuntime):
         )
         self.workers = workers
         config = self.config
-        engine_cfg = self.config.engine
 
         def factory(worker_id: int):
             mine = [
@@ -239,7 +238,7 @@ class ParallelClusterRuntime(ClusterRuntime):
 
             def service(op: str, payload):
                 if op == "build":
-                    from repro.api.factory import build_store
+                    from repro.api.factory import build_store, engine_binding
                     from repro.engine import Engine
 
                     local_engine = Engine()
@@ -247,15 +246,9 @@ class ParallelClusterRuntime(ClusterRuntime):
                     for sid, base in mine:
                         store_mod._node_counter = itertools.count(base)
                         store = build_store(config, seed_offset=1000 * sid)
-                        if engine_cfg.enabled:
-                            store.bind_engine(
-                                local_engine,
-                                group_commit_window_us=(
-                                    engine_cfg.group_commit_window_us
-                                ),
-                                qd=engine_cfg.qd,
-                                defer_gc=engine_cfg.defer_gc,
-                            )
+                        store.bind_engine(
+                            local_engine, **engine_binding(config)
+                        )
                         stores[sid] = store
                     state["stores"] = stores
                     state["engine"] = local_engine

@@ -290,7 +290,7 @@ class ClusterRuntime:
         daemons, scheduling — is shared verbatim, which is what makes
         the byte-for-byte equivalence argument small.
         """
-        from repro.api.factory import build_store
+        from repro.api.factory import build_store, engine_binding
 
         shards = [
             ShardServer(
@@ -301,16 +301,10 @@ class ClusterRuntime:
             )
             for i in range(cluster_cfg.shards)
         ]
-        if self.config.engine.enabled:
-            for shard in shards:
-                shard.store.bind_engine(
-                    self.engine,
-                    group_commit_window_us=(
-                        self.config.engine.group_commit_window_us
-                    ),
-                    qd=self.config.engine.qd,
-                    defer_gc=self.config.engine.defer_gc,
-                )
+        for shard in shards:
+            shard.store.bind_engine(
+                self.engine, **engine_binding(self.config)
+            )
         return shards
 
     def _commit_write(self, shard: ShardServer, page_no: int, image: bytes):
@@ -561,36 +555,29 @@ class ClusterRuntime:
 
     # -- synchronous wrappers (one op = one engine run) --------------------
 
-    def _run(self, gen) -> OpResult:
-        return self.engine.run(gen)
-
     def insert(self, now_us: float, table: str, key: int, value: bytes):
-        self.engine.advance_to(now_us)
-        return self._run(self.insert_proc(table, key, value))
+        return self.engine.run_at(now_us, self.insert_proc(table, key, value))
 
     def update(self, now_us: float, table: str, key: int, value: bytes):
-        self.engine.advance_to(now_us)
-        return self._run(self.update_proc(table, key, value))
+        return self.engine.run_at(now_us, self.update_proc(table, key, value))
 
     def delete(self, now_us: float, table: str, key: int):
-        self.engine.advance_to(now_us)
-        return self._run(self.delete_proc(table, key))
+        return self.engine.run_at(now_us, self.delete_proc(table, key))
 
     def select(self, now_us: float, table: str, key: int, ro_index: int = -1):
-        self.engine.advance_to(now_us)
-        return self._run(self.select_proc(table, key))
+        return self.engine.run_at(now_us, self.select_proc(table, key))
 
     def range_select(self, now_us: float, table: str, low: int, high: int):
-        self.engine.advance_to(now_us)
-        return self._run(self.range_select_proc(table, low, high))
+        return self.engine.run_at(
+            now_us, self.range_select_proc(table, low, high)
+        )
 
     def bulk_load(
         self, now_us: float, table: str, rows: Iterable[Tuple[int, bytes]]
     ) -> float:
-        self.engine.advance_to(now_us)
         for key, value in rows:
-            self._run(self.insert_proc(table, key, value))
-        return self.engine.now_us
+            self.engine.run_at(now_us, self.insert_proc(table, key, value))
+        return self.engine.advance_to(now_us)
 
     def checkpoint(self, now_us: float) -> float:
         self.engine.advance_to(now_us)
@@ -871,7 +858,7 @@ class ClusterRuntime:
         the number of rows checked (the cutover-loses-nothing check)."""
         checked = 0
         for (table, key), value in sorted(expected.items()):
-            result = self._run(self.select_proc(table, key))
+            result = self.engine.run(self.select_proc(table, key))
             if result.value != value:
                 raise ReproError(
                     f"row {table!r}:{key} lost or corrupt after migration"

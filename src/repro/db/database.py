@@ -6,12 +6,20 @@ from typing import List, Optional, Tuple
 
 from repro.db.ro_node import RONode
 from repro.db.rw_node import RWNode
+from repro.engine import Engine
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
 
 class PolarDB:
-    """Convenience wiring of the whole stack for examples and benchmarks."""
+    """Convenience wiring of the whole stack for examples and benchmarks.
+
+    Every statement runs on the event engine: the instance binds its own
+    :class:`~repro.engine.Engine` at construction (drivers such as
+    ``run_sysbench`` may rebind a shared one), and each ``now_us`` entry
+    point runs the matching ``*_proc`` to completion through
+    :meth:`Engine.run_at`.
+    """
 
     def __init__(
         self,
@@ -33,7 +41,7 @@ class PolarDB:
         self.ro: List[RONode] = [
             RONode(store, self.rw, buffer_pool_pages) for _ in range(ro_nodes)
         ]
-        self._sim_engine = None
+        self.bind_engine(Engine())
 
     @classmethod
     def from_config(cls, config) -> "PolarDB":
@@ -56,7 +64,7 @@ class PolarDB:
         device queues, compute core pools, and the redo group-commit
         pipeline all serve genuinely concurrent processes (what
         ``workloads.sysbench`` drives for thread-scaling figures)."""
-        self._sim_engine = engine
+        self.engine = engine
         self.store.bind_engine(
             engine,
             group_commit_window_us=group_commit_window_us,
@@ -67,7 +75,7 @@ class PolarDB:
         for i, ro in enumerate(self.ro):
             ro.bind_engine(engine, label=str(i))
 
-    # -- engine-native DML (generators; require bind_engine) -----------------
+    # -- DML as engine processes ---------------------------------------------
 
     def insert_proc(self, table: str, key: int, value: bytes):
         return self.rw.insert_proc(table, key, value)
@@ -92,22 +100,24 @@ class PolarDB:
         self.rw.create_table(name)
 
     def insert(self, now_us: float, table: str, key: int, value: bytes):
-        return self.rw.insert(now_us, table, key, value)
+        return self.engine.run_at(now_us, self.insert_proc(table, key, value))
 
     def update(self, now_us: float, table: str, key: int, value: bytes):
-        return self.rw.update(now_us, table, key, value)
+        return self.engine.run_at(now_us, self.update_proc(table, key, value))
 
     def delete(self, now_us: float, table: str, key: int):
-        return self.rw.delete(now_us, table, key)
+        return self.engine.run_at(now_us, self.delete_proc(table, key))
 
     def select(self, now_us: float, table: str, key: int, ro_index: int = -1):
         """Point select; ``ro_index >= 0`` routes to a read-only node."""
-        if ro_index >= 0:
-            return self.ro[ro_index].select(now_us, table, key)
-        return self.rw.select(now_us, table, key)
+        return self.engine.run_at(
+            now_us, self.select_proc(table, key, ro_index=ro_index)
+        )
 
     def range_select(self, now_us: float, table: str, low: int, high: int):
-        return self.rw.range_select(now_us, table, low, high)
+        return self.engine.run_at(
+            now_us, self.range_select_proc(table, low, high)
+        )
 
     def bulk_load(
         self, now_us: float, table: str, rows: List[Tuple[int, bytes]]

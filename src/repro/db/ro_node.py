@@ -58,32 +58,16 @@ class RONode:
         # cache so the next read refetches a consolidated page.
         # (Only needed when the workload mixes writes into cached pages.)
 
-    def _lookup(self, ctx: OpContext, table: str, key: int):
-        """The query body shared by both execution paths: descend the
-        RW node's tree through this node's own buffer pool."""
-        root = self.rw.tree(table).root_page_no
-        leaf = descend(self.pool, ctx, root, key)
-        return leaf.get(key)
-
-    def select(self, start_us: float, table: str, key: int) -> OpResult:
-        # Execution CPU goes through the node's core pool: it queues when
-        # more threads are running than cores exist.
-        started = self.cpu.serve(start_us, EXECUTE_CPU_US)
-        ctx = OpContext(started)
-        value = self._lookup(ctx, table, key)
-        # Result assembly + row handling back on the CPU.
-        ctx.now_us = self.cpu.serve(ctx.now_us, EXECUTE_CPU_US / 2)
-        self.pool.drain_touched()
-        return OpResult(ctx.now_us, ctx.io_reads, 0, value)
-
     def select_proc(self, table: str, key: int):
         """Engine process: the select's CPU slices really queue FIFO on
         the node's core pool, so core saturation under high concurrency
-        is emergent rather than analytic."""
+        is emergent rather than analytic.  The query descends the RW
+        node's tree through this node's own buffer pool."""
         engine = self._sim_engine
         yield from self.cpu.process(EXECUTE_CPU_US)
         ctx = OpContext(engine.now_us)
-        value = self._lookup(ctx, table, key)
+        root = self.rw.tree(table).root_page_no
+        value = descend(self.pool, ctx, root, key).get(key)
         self.pool.drain_touched()
         if ctx.now_us > engine.now_us:
             # Storage reads from buffer-pool misses were charged

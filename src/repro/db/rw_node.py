@@ -65,9 +65,6 @@ class RWNode:
         if registry is not None:
             self.cpu.bind_metrics(registry, node="rw")
 
-    def _start_statement(self, start_us: float) -> OpContext:
-        return OpContext(self.cpu.serve(start_us, EXECUTE_CPU_US))
-
     # -- catalog ------------------------------------------------------------
 
     def create_table(self, name: str) -> BPlusTree:
@@ -131,78 +128,11 @@ class RWNode:
     def current_lsn(self) -> int:
         return self._next_lsn
 
-    # -- statement bodies (shared by the sync and engine-native paths) -------
+    # -- DML (engine processes) ----------------------------------------------
 
-    # Each DML statement is one body closure over (table, key, ...); the
-    # two execution paths — analytic `_statement` and engine-native
-    # `_statement_proc` — differ only in how CPU and commit time are
-    # charged, never in what the statement does.
-
-    def _insert_body(self, table: str, key: int, value: bytes):
-        def body(ctx: OpContext):
-            self.tree(table).insert(ctx, key, value, self._next_lsn)
-
-        return body
-
-    def _update_body(self, table: str, key: int, value: bytes):
-        def body(ctx: OpContext):
-            if not self.tree(table).update(ctx, key, value, self._next_lsn):
-                raise KeyNotFoundError(f"update of missing key {key}")
-
-        return body
-
-    def _delete_body(self, table: str, key: int):
-        def body(ctx: OpContext):
-            if not self.tree(table).delete(ctx, key, self._next_lsn):
-                raise KeyNotFoundError(f"delete of missing key {key}")
-
-        return body
-
-    def _select_body(self, table: str, key: int):
-        return lambda ctx: self.tree(table).search(ctx, key)
-
-    def _range_select_body(self, table: str, low: int, high: int):
-        def body(ctx: OpContext):
-            rows = self.tree(table).range_scan(ctx, low, high)
-            return b"".join(value for _, value in rows)
-
-        return body
-
-    # -- DML ----------------------------------------------------------------------
-
-    def _statement(self, start_us: float, body, read_only: bool = False) -> OpResult:
-        """One statement on the analytic path (same body closures as
-        :meth:`_statement_proc`, CPU charged via ``ResourcePool.serve``)."""
-        ctx = self._start_statement(start_us)
-        value = body(ctx)
-        if read_only:
-            self.pool.drain_touched()  # reads generate no redo
-            return OpResult(ctx.now_us, ctx.io_reads, 0, value)
-        done, redo_bytes = self._commit(ctx)
-        return OpResult(done, ctx.io_reads, redo_bytes, value)
-
-    def insert(self, start_us: float, table: str, key: int, value: bytes) -> OpResult:
-        return self._statement(start_us, self._insert_body(table, key, value))
-
-    def update(self, start_us: float, table: str, key: int, value: bytes) -> OpResult:
-        return self._statement(start_us, self._update_body(table, key, value))
-
-    def delete(self, start_us: float, table: str, key: int) -> OpResult:
-        return self._statement(start_us, self._delete_body(table, key))
-
-    def select(self, start_us: float, table: str, key: int) -> OpResult:
-        return self._statement(
-            start_us, self._select_body(table, key), read_only=True
-        )
-
-    def range_select(
-        self, start_us: float, table: str, low: int, high: int
-    ) -> OpResult:
-        return self._statement(
-            start_us, self._range_select_body(table, low, high), read_only=True
-        )
-
-    # -- engine-native DML -------------------------------------------------------------
+    # Each statement is a body closure over (table, key, ...) run by
+    # `_statement_proc`; synchronous callers go through `PolarDB`, which
+    # runs the matching `*_proc` to completion on its engine.
 
     def _statement_proc(self, body, read_only: bool = False):
         """One statement as an engine process.
@@ -235,34 +165,37 @@ class RWNode:
         )
 
     def insert_proc(self, table: str, key: int, value: bytes):
-        result = yield from self._statement_proc(
-            self._insert_body(table, key, value)
-        )
-        return result
+        def body(ctx: OpContext):
+            self.tree(table).insert(ctx, key, value, self._next_lsn)
+
+        return (yield from self._statement_proc(body))
 
     def update_proc(self, table: str, key: int, value: bytes):
-        result = yield from self._statement_proc(
-            self._update_body(table, key, value)
-        )
-        return result
+        def body(ctx: OpContext):
+            if not self.tree(table).update(ctx, key, value, self._next_lsn):
+                raise KeyNotFoundError(f"update of missing key {key}")
+
+        return (yield from self._statement_proc(body))
 
     def delete_proc(self, table: str, key: int):
-        result = yield from self._statement_proc(
-            self._delete_body(table, key)
-        )
-        return result
+        def body(ctx: OpContext):
+            if not self.tree(table).delete(ctx, key, self._next_lsn):
+                raise KeyNotFoundError(f"delete of missing key {key}")
+
+        return (yield from self._statement_proc(body))
 
     def select_proc(self, table: str, key: int):
-        result = yield from self._statement_proc(
-            self._select_body(table, key), read_only=True
-        )
-        return result
+        def body(ctx: OpContext):
+            return self.tree(table).search(ctx, key)
+
+        return (yield from self._statement_proc(body, read_only=True))
 
     def range_select_proc(self, table: str, low: int, high: int):
-        result = yield from self._statement_proc(
-            self._range_select_body(table, low, high), read_only=True
-        )
-        return result
+        def body(ctx: OpContext):
+            rows = self.tree(table).range_scan(ctx, low, high)
+            return b"".join(value for _, value in rows)
+
+        return (yield from self._statement_proc(body, read_only=True))
 
     # -- transactions -----------------------------------------------------------------
 

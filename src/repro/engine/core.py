@@ -317,6 +317,13 @@ class Engine:
             )
         return proc.value
 
+    def run_at(self, now_us: float, gen: Generator, name: str = ""):
+        """Run one process to completion, starting no earlier than
+        ``now_us``: the adapter every synchronous entry point uses.  A
+        ``now_us`` already in the engine's past starts at engine-now."""
+        self.advance_to(now_us)
+        return self.run(gen, name=name)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Engine(now_us={self._now_us:.1f}, "

@@ -8,11 +8,11 @@ styles over one shared state**:
   server by an event, and occupies it for its service time.  Queue waits,
   depths, and utilization are measured, and batching/saturation effects
   emerge from genuine interleaving;
-* the **analytic adapter** — :meth:`Resource.serve` is the legacy
-  ``max(start, busy_until) + service`` arithmetic of
-  :class:`repro.common.clock.Resource`.  It updates the *same* per-server
-  ``free_at`` state, so synchronous legacy code paths and engine processes
-  queue against each other consistently.
+* the **analytic adapter** — :meth:`Resource.serve` charges a request
+  ``max(start, earliest free_at) + service`` without waiting (storage
+  reads inside statements, the baselines, non-concurrent figures).  It
+  updates the *same* per-server ``free_at`` state, so synchronous code
+  paths and engine processes queue against each other consistently.
 
 The two styles are timing-equivalent for a single client (the
 analytic-equivalence property covered by ``tests/engine``): an engine
@@ -37,7 +37,7 @@ from repro.engine.core import Engine, EngineError, Event
 
 @dataclass(frozen=True)
 class _ServerView:
-    """Read-only view of one server (legacy ``pool.servers`` shape)."""
+    """Read-only view of one server (``pool.servers`` entries)."""
 
     name: str
     busy_until_us: float
@@ -155,13 +155,14 @@ class Resource:
     # -- analytic adapter --------------------------------------------------
 
     def serve(self, start_us: float, service_us: float) -> float:
-        """Legacy synchronous path: queue a request arriving at
-        ``start_us`` needing ``service_us``; return its completion time.
+        """Synchronous path: queue a request arriving at ``start_us``
+        needing ``service_us``; return its completion time.
 
-        Exactly the pre-engine ``Resource.serve`` arithmetic, operating on
-        the same ``free_at`` state the engine-native path uses — so a
-        synchronous call from inside an engine run still occupies the
-        queue that concurrent processes wait on.
+        The earliest-free server (first one on ties) starts it at
+        ``max(start_us, free_at)``.  This operates on the same
+        ``free_at`` state the engine-native path uses — so a synchronous
+        call from inside an engine run still occupies the queue that
+        concurrent processes wait on.
         """
         if service_us < 0:
             raise ValueError(f"negative service time {service_us}")
@@ -239,9 +240,8 @@ class Resource:
 
 
 class ResourcePool(Resource):
-    """Alias shape of the legacy ``clock.ResourcePool``: ``k`` identical
-    servers, earliest-free dispatch — now with a real shared FIFO wait
-    list in engine-native mode."""
+    """``k`` identical servers with earliest-free dispatch and a shared
+    FIFO wait list: a :class:`Resource` whose server count is required."""
 
     def __init__(
         self, name: str, servers: int, engine: Optional[Engine] = None

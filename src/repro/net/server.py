@@ -1,8 +1,8 @@
 """The PolarStore socket server: one engine-bound deployment, framed.
 
 :class:`PolarStoreServer` hosts a :class:`~repro.api.transport
-.LocalTransport` (a real store or sharded cluster, engine-bound when
-``engine.enabled``) behind the :mod:`repro.net.protocol` wire format on
+.LocalTransport` (a real store or sharded cluster, always on its event
+engine) behind the :mod:`repro.net.protocol` wire format on
 an asyncio TCP front-end.  The design problem is determinism: sockets
 deliver requests in wall-clock order, but the reproduction's value is
 that simulated outcomes are a pure function of the seeded workload.
@@ -70,10 +70,8 @@ class PolarStoreServer:
     """One PolarStore deployment served over TCP.
 
     ``config.net`` supplies the bind address, the bridge admission
-    window, and the frame-size ceiling.  With ``engine.enabled`` the
-    server runs open-loop through a :class:`WallClockBridge`; without
-    an engine every op (pipelined or not) executes synchronously — the
-    analytic path has no overlap to model.
+    window, and the frame-size ceiling.  Pipelined ops run open-loop
+    through a :class:`WallClockBridge` on the transport's engine.
     """
 
     def __init__(
@@ -87,14 +85,11 @@ class PolarStoreServer:
         self.registry = (
             registry if registry is not None else self.transport.metrics
         )
-        engine = self.transport.engine
-        self.bridge: Optional[WallClockBridge] = None
-        if engine is not None:
-            self.bridge = WallClockBridge(
-                engine,
-                window=self.config.net.window,
-                registry=self.registry,
-            )
+        self.bridge = WallClockBridge(
+            self.transport.engine,
+            window=self.config.net.window,
+            registry=self.registry,
+        )
         self._max_frame = (
             self.config.net.max_frame_bytes or MAX_FRAME_BYTES
         )
@@ -237,10 +232,8 @@ class PolarStoreServer:
                     "session": session_id,
                     "version": VERSION,
                     "sharded": self.transport.sharded,
-                    "engine": self.transport.engine is not None,
-                    "window": (
-                        self.bridge.window if self.bridge is not None else 0
-                    ),
+                    "engine": True,
+                    "window": self.bridge.window,
                 },
                 done_us=now,
             ))
@@ -256,11 +249,11 @@ class PolarStoreServer:
                 value={
                     "now_us": now,
                     "sessions": len(self._sessions),
-                    "admitted": bridge.admitted if bridge else 0,
-                    "rejected": bridge.rejected if bridge else 0,
-                    "completed": bridge.completed if bridge else 0,
-                    "queue_depth": bridge.queue_depth if bridge else 0,
-                    "window": bridge.window if bridge else 0,
+                    "admitted": bridge.admitted,
+                    "rejected": bridge.rejected,
+                    "completed": bridge.completed,
+                    "queue_depth": bridge.queue_depth,
+                    "window": bridge.window,
                 },
                 done_us=now,
             ))
@@ -271,8 +264,7 @@ class PolarStoreServer:
         self, req: Request, writer: asyncio.StreamWriter
     ) -> None:
         if req.op == "flush":
-            if self.bridge is not None:
-                await self._send_completions(self.bridge.flush())
+            await self._send_completions(self.bridge.flush())
             now = self.transport.now_us
             await self._write(writer, Response(
                 id=req.id, kind="time", value=now,
@@ -283,7 +275,7 @@ class PolarStoreServer:
         # session's progress is clamped to engine-now (single-session
         # streams, the deterministic case, are never clamped).
         arrival = max(req.arrival_us, self.transport.now_us)
-        if self.bridge is None or req.sync or req.spec.sync_only:
+        if req.sync or req.spec.sync_only:
             await self._process_sync(req, writer, arrival)
             return
         token = self._next_token
@@ -308,8 +300,7 @@ class PolarStoreServer:
     ) -> None:
         """Closed-loop path: run the op to completion at its arrival and
         reply immediately — exactly what a LocalTransport call does."""
-        if self.bridge is not None:
-            await self._send_completions(self.bridge.drain_to(arrival))
+        await self._send_completions(self.bridge.drain_to(arrival))
         self.transport.advance_to(arrival)
         try:
             result = self.transport.call(

@@ -61,6 +61,8 @@ class _TxnContext:
     engine: Engine
     ro_index: int = -1  # -1: reads go to the RW node
     use_procs: bool = False
+    #: Key-existence fallbacks taken by the update transactions.
+    fallbacks: int = 0
 
     def pick_key(self) -> int:
         return int(self.sampler.one())
@@ -91,6 +93,7 @@ class _TxnContext:
         try:
             yield from self._op("update", self.table, key, value)
         except KeyNotFoundError:
+            self.fallbacks += 1
             yield from self._op("insert", self.table, key, value)
 
     def update_index(self, key: int):
@@ -98,12 +101,13 @@ class _TxnContext:
         try:
             yield from self._op("delete", self.table, key)
         except KeyNotFoundError:
-            pass
+            self.fallbacks += 1
         try:
             yield from self._op(
                 "insert", self.table, key, default_value(self.rng, key)
             )
         except DuplicateKeyError:
+            self.fallbacks += 1
             yield from self.update_non_index(key)
 
     def insert_fresh(self):
@@ -187,6 +191,9 @@ class SysbenchResult:
     #: differs from ``duration_s`` when a transaction cap cut the run short.
     elapsed_s: float = 0.0
     latency: LatencyStats = field(default_factory=LatencyStats)
+    #: Times an update transaction fell back on KeyNotFoundError or
+    #: DuplicateKeyError (missing row, or a row another client re-created).
+    fallbacks: int = 0
 
     @property
     def tps(self) -> float:
@@ -299,4 +306,5 @@ def run_sysbench(
     ]
     eng.run_until_complete(procs)
     result.elapsed_s = max(state["last_done"] - start_us, 0.0) / 1e6
+    result.fallbacks = ctx.fallbacks
     return result

@@ -75,8 +75,7 @@ def test_engine_ops_match_legacy_exactly():
         return _op_tuple(engine.run(getattr(legacy_db, op + "_proc")(*args)))
 
     client = PolarStore.open(
-        dict(CONFIG_DOC, engine={"enabled": True,
-                                 "group_commit_window_us": 25.0})
+        dict(CONFIG_DOC, engine={"group_commit_window_us": 25.0})
     )
     client.create_table("t")
 
@@ -160,7 +159,7 @@ def test_open_rejects_mixed_and_bad_usage():
 
 def test_single_volume_client_surface():
     client = PolarStore.open(CONFIG_DOC)
-    assert client.engine is None
+    assert client.engine is client.db.engine
     assert client.store is client.db.store
     assert client.metrics is client.db.metrics
     with pytest.raises(ReproError, match="shards"):
@@ -168,7 +167,7 @@ def test_single_volume_client_surface():
 
 
 def test_sharded_client_surface():
-    client = PolarStore.open(cluster={"shards": 2}, engine={"enabled": True})
+    client = PolarStore.open(cluster={"shards": 2})
     assert client.sharded
     assert client.engine is client.runtime.engine
     with pytest.raises(ReproError, match="single volume"):
@@ -199,3 +198,15 @@ def test_client_works_with_sysbench_driver():
     assert loaded == loaded_legacy
     assert result.transactions == legacy.transactions
     assert result.tps == legacy.tps
+
+
+def test_unshimmed_imports_stay_silent(recwarn):
+    """The original constructor import paths keep working without any
+    deprecation warning."""
+    from repro.db.database import PolarDB  # noqa: F401
+    from repro.storage.store import PolarStore, build_node  # noqa: F401
+
+    deprecations = [
+        w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
+    ]
+    assert not deprecations

@@ -26,7 +26,7 @@ def test_defaults_validate():
 def test_dict_round_trip():
     config = ReproConfig.from_dict({
         "store": {"volume_bytes": 32 * MiB, "seed": 7},
-        "engine": {"enabled": True, "group_commit_window_us": 25.0},
+        "engine": {"group_commit_window_us": 25.0},
         "cluster": {"shards": 3, "chunk_keys": 4},
     })
     assert config.store.volume_bytes == 32 * MiB
@@ -58,6 +58,12 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="store"):
         ReproConfig.from_dict({"store": {"volume_byte": 1}})
+
+
+def test_removed_engine_enabled_key_rejected():
+    # Statements always run on the engine; the old switch is gone.
+    with pytest.raises(ValueError, match="'enabled'"):
+        ReproConfig.from_dict({"engine": {"enabled": True}})
 
 
 def test_unknown_node_key_rejected():

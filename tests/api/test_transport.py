@@ -31,7 +31,7 @@ def test_transport_ops_match_the_wire_vocabulary():
 
 def test_local_transport_engine_dispatch_and_cursor():
     transport = LocalTransport(
-        ReproConfig.from_dict({"engine": {"enabled": True}})
+        ReproConfig.from_dict({})
     )
     assert transport.kind == "local"
     assert not transport.sharded
@@ -48,8 +48,10 @@ def test_local_transport_engine_dispatch_and_cursor():
 
 
 def test_local_transport_sync_dispatch_without_engine():
+    """No ``engine`` config section: statements still run on the
+    db's own engine."""
     transport = LocalTransport(ReproConfig.from_dict({}))
-    assert transport.engine is None
+    assert transport.engine is transport.db.engine
     transport.call("create_table", "t")
     transport.call("insert", "t", 7, b"x")
     assert transport.call("select", "t", 7).value == b"x"
@@ -65,7 +67,7 @@ def test_unknown_op_rejected():
 
 def test_describe_reports_deployment_shape():
     local = LocalTransport(
-        ReproConfig.from_dict({"engine": {"enabled": True}})
+        ReproConfig.from_dict({})
     )
     doc = local.describe()
     assert doc["kind"] == "local"
@@ -93,10 +95,11 @@ def test_adopt_engine_binds_single_volume_deployment():
     from repro.engine import Engine
 
     transport = LocalTransport(ReproConfig.from_dict({}))
-    assert transport.engine is None
+    assert transport.engine is transport.db.engine
     engine = Engine()
     transport.adopt_engine(engine)
     assert transport.engine is engine
+    assert transport.db.engine is engine
     transport.call("create_table", "t")
     result = transport.call("insert", "t", 1, b"v")
     assert result.done_us > 0

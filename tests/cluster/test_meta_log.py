@@ -10,7 +10,6 @@ from repro.common.units import MiB
 def make_runtime(**cluster_overrides):
     doc = {
         "store": {"volume_bytes": 16 * MiB},
-        "engine": {"enabled": True},
         "cluster": dict(
             {"shards": 2, "chunk_keys": 4, "consensus": True},
             **cluster_overrides,

@@ -27,7 +27,6 @@ PHASES = (
 def _bare_runtime() -> ClusterRuntime:
     doc = {
         "store": {"volume_bytes": 16 * MiB},
-        "engine": {"enabled": True},
         "cluster": {"shards": 2, "chunk_keys": 8},
     }
     return ClusterRuntime(ReproConfig.from_dict(doc))

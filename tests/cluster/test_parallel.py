@@ -24,7 +24,6 @@ from repro.storage import store as store_mod
 def _config(shards=2, chunk_keys=16, **cluster_overrides):
     return ReproConfig.from_dict({
         "store": {"volume_bytes": 16 * MiB},
-        "engine": {"enabled": True},
         "cluster": dict(
             {"shards": shards, "chunk_keys": chunk_keys},
             **cluster_overrides,

@@ -17,7 +17,6 @@ from repro.engine.core import Timeout
 def make_runtime(shards=2, chunk_keys=8, **cluster_overrides):
     doc = {
         "store": {"volume_bytes": 16 * MiB},
-        "engine": {"enabled": True},
         "cluster": dict(
             {"shards": shards, "chunk_keys": chunk_keys}, **cluster_overrides
         ),
@@ -246,7 +245,6 @@ def test_cutover_loses_nothing_under_fault_injection():
     doc = {
         "store": {"volume_bytes": 16 * MiB},
         "device": {"inject_faults": True},
-        "engine": {"enabled": True},
         "cluster": {"shards": 2, "chunk_keys": 16},
     }
     runtime = ClusterRuntime(ReproConfig.from_dict(doc))

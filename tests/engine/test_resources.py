@@ -3,8 +3,6 @@ analytic equivalence (S3), and obs wiring (S2)."""
 
 import pytest
 
-from repro.common.clock import Resource as LegacyResource
-from repro.common.clock import ResourcePool as LegacyPool
 from repro.engine import Engine, EngineError, Queue, Resource, ResourcePool
 from repro.obs.metrics import MetricsRegistry
 
@@ -99,13 +97,12 @@ def test_multi_server_parallelism():
 # -- analytic equivalence (S3) --------------------------------------------
 
 def test_engine_single_client_matches_legacy_serve():
-    """One client through the engine reproduces legacy Resource.serve
-    completion times exactly — the adapter property the refactor
-    relies on to keep existing tests meaningful."""
+    """One client through the engine reproduces the analytic
+    ``max(arrive, busy_until) + service`` completion times exactly (the
+    numbers the removed ``common.clock.Resource`` produced)."""
     requests = [(0.0, 11.0), (5.0, 3.0), (40.0, 7.0), (41.0, 0.0)]
-
-    legacy = LegacyResource("dev")
-    legacy_done = [legacy.serve(a, s) for a, s in requests]
+    # 0+11; max(5, 11)+3; 40+7; max(41, 47)+0.
+    analytic_done = [11.0, 14.0, 47.0, 47.0]
 
     eng = Engine()
     res = Resource("dev", engine=eng)
@@ -118,22 +115,23 @@ def test_engine_single_client_matches_legacy_serve():
             ends.append(end)
         return ends
 
-    assert eng.run(one_client()) == legacy_done
-    assert res.total_busy_us == legacy.total_busy_us
-    assert res.completed == legacy.completed
+    assert eng.run(one_client()) == analytic_done
+    assert res.total_busy_us == 21.0
+    assert res.completed == 4
 
 
 def test_serve_adapter_matches_legacy_pool_exactly():
-    """The sync serve() adapter on a multi-server Resource is
-    drop-in equivalent to the legacy ResourcePool."""
+    """The sync serve() adapter on a multi-server Resource sends each
+    request to the earliest-free server, first one on ties (the numbers
+    the removed ``common.clock.ResourcePool`` produced)."""
     requests = [(0.0, 9.0), (1.0, 9.0), (2.0, 9.0), (3.0, 1.0), (20.0, 5.0)]
-    legacy = LegacyPool("cpu", 2)
     ours = ResourcePool("cpu", 2)
-    for arrive, service in requests:
-        assert ours.serve(arrive, service) == legacy.serve(arrive, service)
-    assert [s.busy_until_us for s in ours.servers] == [
-        s.busy_until_us for s in legacy.servers
+    # s0: 0+9; s1: 1+9; s0: max(2, 9)+9; s1: max(3, 10)+1;
+    # s1 (free at 11, before s0's 18): 20+5.
+    assert [ours.serve(a, s) for a, s in requests] == [
+        9.0, 10.0, 18.0, 11.0, 25.0
     ]
+    assert [s.busy_until_us for s in ours.servers] == [18.0, 25.0]
 
 
 def test_mixed_sync_and_engine_share_state():

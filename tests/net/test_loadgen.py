@@ -79,7 +79,7 @@ def test_spec_validation():
 def _run_over_socket(spec, *, window=64):
     handle = serve_in_thread(
         ReproConfig.from_dict(
-            {"engine": {"enabled": True}, "net": {"window": window}}
+            {"net": {"window": window}}
         ),
         port=0,
     )
@@ -125,7 +125,7 @@ def test_sim_artifact_is_byte_identical_across_runs():
 
 
 def test_local_transport_falls_back_to_closed_loop():
-    client = PolarStore.open({"engine": {"enabled": True}})
+    client = PolarStore.open()
     report = run_load(client.transport, _spec(rate_per_s=500.0))
     assert report.transport_kind == "local"
     assert report.completed == report.requests
@@ -134,7 +134,7 @@ def test_local_transport_falls_back_to_closed_loop():
 
 
 def test_artifact_shape_splits_sim_from_wall():
-    client = PolarStore.open({"engine": {"enabled": True}})
+    client = PolarStore.open()
     artifact = run_load(
         client.transport, _spec(requests=40, rate_per_s=500.0)
     ).to_artifact()
@@ -151,7 +151,7 @@ def test_registry_carries_load_instruments():
     from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
-    client = PolarStore.open({"engine": {"enabled": True}})
+    client = PolarStore.open()
     report = run_load(
         client.transport,
         _spec(requests=30, rate_per_s=500.0),

@@ -18,9 +18,7 @@ from repro.net.server import serve_in_thread
 
 
 def _config(**doc):
-    base = {"engine": {"enabled": True}}
-    base.update(doc)
-    return ReproConfig.from_dict(base)
+    return ReproConfig.from_dict(doc)
 
 
 @pytest.fixture()
@@ -237,22 +235,3 @@ def test_connect_refused_is_a_transport_error():
     probe.close()
     with pytest.raises(TransportError):
         SocketTransport(("127.0.0.1", free_port), timeout_s=2.0)
-
-
-def test_no_engine_server_serves_synchronously():
-    handle = serve_in_thread(
-        ReproConfig.from_dict({"engine": {"enabled": False}}), port=0
-    )
-    client = PolarStore.connect(handle.addr, timeout_s=10.0)
-    try:
-        client.create_table("t")
-        client.insert("t", 1, b"plain")
-        assert client.select("t", 1).value == b"plain"
-        # Pipelined submits still answer (executed synchronously).
-        transport = client.transport
-        future = transport.submit("select", "t", 1, arrival_us=0.0)
-        response = transport.pool.wait(future)
-        assert response.ok and response.value == b"plain"
-    finally:
-        client.close()
-        handle.stop()

@@ -243,3 +243,21 @@ def test_update_failures_other_than_key_existence_propagate(workload):
             db, workload, duration_s=0.01, threads=1, key_range=50,
             start_us=loaded, max_transactions=1,
         )
+
+
+def test_fallbacks_are_counted():
+    # 40 loaded rows under a 400-key range: most update_index deletes
+    # miss, and each miss is one counted fallback.
+    db = PolarDB(config=NodeConfig(), volume_bytes=64 * MiB, seed=5)
+    loaded = prepare_table(db, rows=40)
+    sparse = run_sysbench(
+        db, "update_index", duration_s=1.0, threads=2, key_range=400,
+        start_us=loaded, max_transactions=20, zipf_s=0.0,
+    )
+    assert sparse.transactions == 20
+    assert sparse.fallbacks > 0
+    reads = run_sysbench(
+        db, "point_select", duration_s=1.0, threads=2, key_range=400,
+        start_us=loaded + 2e6, max_transactions=20,
+    )
+    assert reads.fallbacks == 0
